@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fuzz chaos crash bench cover
+.PHONY: all build test race lint fuzz chaos crash bench cover perfbench-check
 
 all: build test lint
 
@@ -36,12 +36,13 @@ chaos:
 
 # Crash-recovery gate: the crash-point sweep (every WAL append, sync, and
 # block write killed in fail-stop and torn-write mode, then recovered) plus
-# the concurrent update/search race tests, all under the race detector.
+# the concurrent update/search race tests — pooled searchers included — all
+# under the race detector.
 crash:
 	$(GO) test -race -count=1 \
 		-run 'TestCrashRecoverySweep|TestGroupCommitCrashKeepsPrefix|TestConcurrentInsertSearch' \
 		./internal/diskindex
-	$(GO) test -race -count=1 -run 'TestWALFacadeConcurrentUpdates' .
+	$(GO) test -race -count=1 -run 'TestWALFacadeConcurrentUpdates|TestPooledSearchersConcurrentInserts' .
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=3x ./...
@@ -49,3 +50,9 @@ bench:
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...
 	$(GO) tool cover -func=cover.out | tail -1
+
+# The end-to-end serving benchmark is its own module (perfbench/go.mod), so
+# the root ./... patterns above skip it; vet and test it on its own.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...

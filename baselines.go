@@ -17,6 +17,7 @@ import (
 type SRSIndex struct {
 	telem
 	tune
+	querierPool
 	ix *srs.Index
 }
 
@@ -48,8 +49,10 @@ func (s *SRSIndex) BatchSearch(ctx context.Context, queries [][]float32, opts ..
 // IndexBytes reports the (small) index footprint.
 func (s *SRSIndex) IndexBytes() int64 { return s.ix.IndexBytes() }
 
-func (s *SRSIndex) newQuerier(set searchSettings) (querier, error) {
-	return srsQuerier{s: s.ix.NewSearcher(), budget: set.budget}, nil
+func (s *SRSIndex) dim() int { return s.ix.Dim() }
+
+func (s *SRSIndex) newQuerier() (querier, error) {
+	return &srsQuerier{s: s.ix.NewSearcher()}, nil
 }
 
 type srsQuerier struct {
@@ -57,8 +60,10 @@ type srsQuerier struct {
 	budget int
 }
 
+func (s *srsQuerier) configure(set searchSettings) { s.budget = set.budget }
+
 //lsh:foldall srs.Stats
-func (s srsQuerier) query(ctx context.Context, q []float32, k int, dst []ann.Neighbor) (Result, Stats, error) {
+func (s *srsQuerier) query(ctx context.Context, q []float32, k int, dst []ann.Neighbor) (Result, Stats, error) {
 	// A caller-supplied budget owns the accuracy knob (§3.3), so the
 	// chi-square early stop only runs unbudgeted.
 	res, st, err := s.s.SearchInto(ctx, q, k, s.budget, s.budget <= 0, dst)
@@ -78,6 +83,7 @@ func (s srsQuerier) query(ctx context.Context, q []float32, k int, dst []ann.Nei
 type QALSHIndex struct {
 	telem
 	tune
+	querierPool
 	ix *qalsh.Index
 }
 
@@ -117,13 +123,18 @@ func (s *QALSHIndex) BatchSearch(ctx context.Context, queries [][]float32, opts 
 // IndexBytes reports the (small) index footprint.
 func (s *QALSHIndex) IndexBytes() int64 { return s.ix.IndexBytes() }
 
-func (s *QALSHIndex) newQuerier(searchSettings) (querier, error) {
+func (s *QALSHIndex) dim() int { return s.ix.Dim() }
+
+func (s *QALSHIndex) newQuerier() (querier, error) {
 	return qalshQuerier{s: s.ix.NewSearcher()}, nil
 }
 
 type qalshQuerier struct {
 	s *qalsh.Searcher
 }
+
+// configure has nothing to apply: QALSH's accuracy is fixed at build time.
+func (qalshQuerier) configure(searchSettings) {}
 
 func (q qalshQuerier) setController(c *autotune.Ctl) { q.s.SetController(c) }
 

@@ -2,6 +2,7 @@ package e2lshos
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -33,14 +34,38 @@ type Engine interface {
 	// between rounds; on cancellation the neighbors found so far are
 	// returned together with ctx.Err().
 	Search(ctx context.Context, q []float32, opts ...SearchOption) (Result, Stats, error)
-	// BatchSearch answers a query batch on a pool of worker goroutines,
-	// each reusing one per-goroutine searcher across its share of the
-	// batch. Results are positionally aligned with queries; Stats is the
-	// batch aggregate. On cancellation or error the queries answered so
+	// BatchSearch answers a query batch on up to WithWorkers workers (the
+	// calling goroutine is one of them), each running its share of the
+	// batch on one warmed searcher checked out of the engine's pool.
+	// Results are positionally aligned with queries; Stats is the batch
+	// aggregate. On cancellation or error the queries answered so
 	// far — not necessarily a contiguous prefix, since workers interleave
 	// — keep their results, unanswered slots are zero Results, and the
 	// first error is returned.
 	BatchSearch(ctx context.Context, queries [][]float32, opts ...SearchOption) ([]Result, Stats, error)
+}
+
+// ErrDimension reports a query whose length is not the dimensionality of the
+// indexed vectors. Search and BatchSearch return it, wrapped with both
+// lengths, before any query of the call runs; match it with errors.Is.
+var ErrDimension = errors.New("e2lshos: query dimension mismatch")
+
+// checkDim returns ErrDimension when q does not have dim components.
+func checkDim(dim int, q []float32) error {
+	if len(q) != dim {
+		return fmt.Errorf("%w: query has %d dimensions, index has %d", ErrDimension, len(q), dim)
+	}
+	return nil
+}
+
+// checkDims is checkDim over a batch, naming the first offending query.
+func checkDims(dim int, queries [][]float32) error {
+	for i, q := range queries {
+		if err := checkDim(dim, q); err != nil {
+			return fmt.Errorf("query %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // Compile-time interface conformance for all four engines.
@@ -288,22 +313,92 @@ func resolveSettings(opts []SearchOption) (searchSettings, error) {
 	return s, nil
 }
 
-// querier is one engine's per-goroutine query context: scratch buffers plus
-// the resolved knobs. dst, when non-nil, provides the backing array for the
-// returned Result's neighbors (its contents are overwritten); BatchSearch
+// querier is one engine's reusable query context: a warmed searcher with its
+// scratch (dedup arena, projection and block buffers, top-k heap). Each
+// engine keeps its idle queriers in a querierPool. Search and every
+// BatchSearch worker check one out, apply the call's knobs to it with
+// configure, and check it back in when done, which clears the query's trace
+// and autotune controller. The pool is not keyed by knobs: any querier
+// serves any knob mix, so no sequence of calls grows the pool past the
+// engine's concurrency. dst, when non-nil, provides the backing array for
+// the returned Result's neighbors (its contents are overwritten); BatchSearch
 // hands each query a distinct slab segment so the per-query steady state
 // allocates nothing. A nil dst asks the querier to allocate fresh backing.
-// Not safe for concurrent use; BatchSearch creates one per worker.
+// Not safe for concurrent use: one goroutine holds a querier at a time.
 type querier interface {
+	configure(s searchSettings)
 	query(ctx context.Context, q []float32, k int, dst []ann.Neighbor) (Result, Stats, error)
 }
 
+// querierPool is an engine's free list of idle warmed queriers, most recently
+// used first, so a checkout gets the querier whose buffers are likeliest to
+// still be cached. It keeps at most eight idle queriers per P — room for the
+// workers of several concurrent batches — and drops the rest, so a burst of
+// concurrency leaves a bounded footprint behind.
+type querierPool struct {
+	mu   sync.Mutex
+	idle []querier //lsh:guardedby mu
+}
+
+// queriers returns the pool itself; engines embed querierPool, so this is
+// how the shared search machinery reaches it through engineCore.
+func (p *querierPool) queriers() *querierPool { return p }
+
+// get pops the most recently used idle querier (nil when none is idle).
+func (p *querierPool) get() querier {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.idle)
+	if n == 0 {
+		return nil
+	}
+	qr := p.idle[n-1]
+	p.idle[n-1] = nil
+	p.idle = p.idle[:n-1]
+	return qr
+}
+
+// put clears qr's trace and controller — both belong to the query that just
+// finished, and the controller goes back to the tuner's own pool — and keeps
+// qr idle unless eight per P already are.
+func (p *querierPool) put(qr querier) {
+	if ts, ok := qr.(traceSetter); ok {
+		ts.setTrace(nil)
+	}
+	if cs, ok := qr.(ctlSetter); ok {
+		cs.setController(nil)
+	}
+	limit := 8 * runtime.GOMAXPROCS(0)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.idle) < limit {
+		p.idle = append(p.idle, qr)
+	}
+}
+
+// checkout takes an idle querier from e's pool, building one when none is
+// idle, and applies the call's knobs to it. Return it with put.
+func checkout(e engineCore, set searchSettings) (querier, error) {
+	qr := e.queriers().get()
+	if qr == nil {
+		var err error
+		if qr, err = e.newQuerier(); err != nil {
+			return nil, err
+		}
+	}
+	qr.configure(set)
+	return qr, nil
+}
+
 // engineCore is what each engine contributes to the shared Search /
-// BatchSearch machinery: a querier factory plus the telemetry and autotune
-// anchors (every engine embeds telem and tune, so collector() and tuner()
-// are always present and usually nil).
+// BatchSearch machinery: its dimensionality, a querier factory and the pool
+// it refills, plus the telemetry and autotune anchors (every engine embeds
+// telem and tune, so collector() and tuner() are always present and usually
+// nil).
 type engineCore interface {
-	newQuerier(s searchSettings) (querier, error)
+	dim() int
+	newQuerier() (querier, error)
+	queriers() *querierPool
 	collector() *telemetry.Collector
 	tuner() *autotune.Tuner
 }
@@ -317,13 +412,17 @@ func engineSearch(ctx context.Context, e engineCore, q []float32, opts []SearchO
 	if err != nil {
 		return Result{}, Stats{}, err
 	}
+	if err := checkDim(e.dim(), q); err != nil {
+		return Result{}, Stats{}, err
+	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, Stats{}, err
 	}
-	qr, err := e.newQuerier(set)
+	qr, err := checkout(e, set)
 	if err != nil {
 		return Result{}, Stats{}, err
 	}
+	defer e.queriers().put(qr)
 	col := e.collector()
 	tn := e.tuner()
 	var ctl *autotune.Ctl
@@ -363,12 +462,18 @@ func engineSearch(ctx context.Context, e engineCore, q []float32, opts []SearchO
 	return res, st, err
 }
 
-// engineBatchSearch implements Engine.BatchSearch over an engineCore: a
-// worker pool where each goroutine builds one querier and reuses it across
-// the queries it claims.
+// engineBatchSearch implements Engine.BatchSearch over an engineCore: up to
+// WithWorkers workers claim queries through a shared atomic index, each on
+// one querier checked out of the engine's pool for the whole batch. The
+// calling goroutine is the first worker and only the others are new
+// goroutines, so a one-query batch (the common case under light serving
+// load) starts none and needs no cancelable context.
 func engineBatchSearch(ctx context.Context, e engineCore, queries [][]float32, opts []SearchOption) ([]Result, Stats, error) {
 	set, err := resolveSettings(opts)
 	if err != nil {
+		return nil, Stats{}, err
+	}
+	if err := checkDims(e.dim(), queries); err != nil {
 		return nil, Stats{}, err
 	}
 	results := make([]Result, len(queries))
@@ -382,7 +487,11 @@ func engineBatchSearch(ctx context.Context, e engineCore, queries [][]float32, o
 	if workers > len(queries) {
 		workers = len(queries)
 	}
-	bctx, cancel := context.WithCancel(ctx)
+	// A failing worker cancels its siblings; a lone worker just stops.
+	bctx, cancel := ctx, context.CancelFunc(func() {})
+	if workers > 1 {
+		bctx, cancel = context.WithCancel(ctx)
+	}
 	defer cancel()
 
 	// One neighbor slab backs every result in the batch: queries write into
@@ -418,70 +527,30 @@ func engineBatchSearch(ctx context.Context, e engineCore, queries [][]float32, o
 		mu.Unlock()
 		cancel()
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if bctx.Err() != nil {
-				return
+	work := func() {
+		if bctx.Err() != nil {
+			return
+		}
+		qr, err := checkout(e, set)
+		if err != nil {
+			fail(err)
+			return
+		}
+		defer e.queriers().put(qr)
+		ts, _ := qr.(traceSetter)
+		var cs ctlSetter
+		if tn != nil {
+			cs, _ = qr.(ctlSetter)
+		}
+		var local Stats
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(queries) || bctx.Err() != nil {
+				break
 			}
-			qr, err := e.newQuerier(set)
-			if err != nil {
-				fail(err)
-				return
-			}
-			ts, _ := qr.(traceSetter)
-			var cs ctlSetter
-			if tn != nil {
-				cs, _ = qr.(ctlSetter)
-			}
-			var local Stats
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) || bctx.Err() != nil {
-					break
-				}
-				seg := slab[i*set.k : i*set.k : (i+1)*set.k]
-				if col == nil && cs == nil {
-					res, st, err := qr.query(bctx, queries[i], set.k, seg)
-					if err != nil {
-						fail(err)
-						break
-					}
-					if i < len(set.statsInto) {
-						set.statsInto[i] = st
-					}
-					results[i] = res
-					local.Merge(st)
-					continue
-				}
-				var tr *telemetry.Trace
-				if col != nil {
-					tr = col.StartTrace()
-					if ts != nil {
-						ts.setTrace(tr)
-					}
-					if tr != nil && i < len(waits) {
-						tr.Add(telemetry.StageCoalesceWait, -1, 0, waits[i], 0, 0)
-					}
-				}
-				t0 := time.Now()
-				var ctl *autotune.Ctl
-				if cs != nil {
-					start := t0
-					if i < len(waits) {
-						start = start.Add(-waits[i])
-					}
-					ctl = tn.Start(set.tuning.internal(), baseKnobs(set), start)
-					cs.setController(ctl)
-				}
+			seg := slab[i*set.k : i*set.k : (i+1)*set.k]
+			if col == nil && cs == nil {
 				res, st, err := qr.query(bctx, queries[i], set.k, seg)
-				if col != nil {
-					col.FinishQuery(time.Since(t0), tr)
-				}
-				if ctl != nil {
-					applyOutcome(&st, tn.Finish(ctl))
-				}
 				if err != nil {
 					fail(err)
 					break
@@ -491,12 +560,57 @@ func engineBatchSearch(ctx context.Context, e engineCore, queries [][]float32, o
 				}
 				results[i] = res
 				local.Merge(st)
+				continue
 			}
-			mu.Lock()
-			agg.Merge(local)
-			mu.Unlock()
+			var tr *telemetry.Trace
+			if col != nil {
+				tr = col.StartTrace()
+				if ts != nil {
+					ts.setTrace(tr)
+				}
+				if tr != nil && i < len(waits) {
+					tr.Add(telemetry.StageCoalesceWait, -1, 0, waits[i], 0, 0)
+				}
+			}
+			t0 := time.Now()
+			var ctl *autotune.Ctl
+			if cs != nil {
+				start := t0
+				if i < len(waits) {
+					start = start.Add(-waits[i])
+				}
+				ctl = tn.Start(set.tuning.internal(), baseKnobs(set), start)
+				cs.setController(ctl)
+			}
+			res, st, err := qr.query(bctx, queries[i], set.k, seg)
+			if col != nil {
+				col.FinishQuery(time.Since(t0), tr)
+			}
+			if ctl != nil {
+				applyOutcome(&st, tn.Finish(ctl))
+			}
+			if err != nil {
+				fail(err)
+				break
+			}
+			if i < len(set.statsInto) {
+				set.statsInto[i] = st
+			}
+			results[i] = res
+			local.Merge(st)
+		}
+		mu.Lock()
+		agg.Merge(local)
+		mu.Unlock()
+	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	if firstErr == nil {
 		firstErr = ctx.Err()
@@ -509,6 +623,7 @@ func engineBatchSearch(ctx context.Context, e engineCore, queries [][]float32, o
 type InMemoryIndex struct {
 	telem
 	tune
+	querierPool
 	ix *memindex.Index
 }
 
@@ -539,20 +654,19 @@ func (m *InMemoryIndex) BatchSearch(ctx context.Context, queries [][]float32, op
 // IndexBytes reports the DRAM footprint of the hash index.
 func (m *InMemoryIndex) IndexBytes() int64 { return m.ix.IndexBytes() }
 
-func (m *InMemoryIndex) newQuerier(set searchSettings) (querier, error) {
-	ix := m.ix
-	if set.budget > 0 {
-		ix = ix.WithBudget(set.budget)
-	}
-	s := ix.NewSearcher()
-	if set.multiProbe > 0 {
-		s.SetMultiProbe(set.multiProbe)
-	}
-	return memQuerier{s: s}, nil
+func (m *InMemoryIndex) dim() int { return m.ix.Params().Dim }
+
+func (m *InMemoryIndex) newQuerier() (querier, error) {
+	return memQuerier{s: m.ix.NewSearcher()}, nil
 }
 
 type memQuerier struct {
 	s *memindex.Searcher
+}
+
+func (m memQuerier) configure(set searchSettings) {
+	m.s.SetBudget(set.budget)
+	m.s.SetMultiProbe(set.multiProbe)
 }
 
 func (m memQuerier) setTrace(tr *telemetry.Trace) { m.s.SetTrace(tr) }

@@ -130,6 +130,15 @@ func (ix *Index) WithBudget(s int) *Index {
 	return &clone
 }
 
+// budgetOr returns a searcher's budget override when it is positive and
+// the index's own per-radius budget s otherwise.
+func budgetOr(override, s int) int {
+	if override > 0 {
+		return override
+	}
+	return s
+}
+
 // Options returns the build options (with defaults resolved).
 func (ix *Index) Options() Options { return ix.opts }
 

@@ -2,6 +2,7 @@ package diskindex
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"e2lshos/internal/ann"
@@ -356,6 +357,67 @@ func TestParallelSearcherMatchesSync(t *testing.T) {
 		}
 		if gotSt.Checked != wantSt.Checked {
 			t.Fatalf("query %d: parallel checked %d, sync %d", qi, gotSt.Checked, wantSt.Checked)
+		}
+	}
+}
+
+// contextSearcher is the query entry point both disk searchers share.
+type contextSearcher interface {
+	SearchContext(ctx context.Context, q []float32, k int) (ann.Result, Stats, error)
+}
+
+// TestReusedSearchersMatchViews: one long-lived searcher of each kind, its
+// budget and fan-out changed between queries with SetBudget/SetFanout, must
+// answer every query bit for bit — neighbours and Stats — as a searcher
+// freshly built over the matching WithBudget view with that fan-out.
+func TestReusedSearchersMatchViews(t *testing.T) {
+	d, ix, _ := testSetup(t, 2000, 8, DefaultOptions())
+	seq := ix.NewSearcher()
+	par, err := ix.NewParallelSearcher(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for qi, q := range d.Queries {
+		budget := []int{0, 7, 40, 0, 300}[qi%5]
+		fanout := []int{1, 16, 3, 8}[qi%4]
+		view := ix
+		if budget > 0 {
+			view = ix.WithBudget(budget)
+		}
+		freshPar, err := view.NewParallelSearcher(fanout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par.SetBudget(budget)
+		par.SetFanout(fanout)
+		seq.SetBudget(budget)
+		for _, c := range []struct {
+			name          string
+			reused, fresh contextSearcher
+		}{
+			{"sync", seq, view.NewSearcher()},
+			{"parallel", par, freshPar},
+		} {
+			got, gotSt, err := c.reused.SearchContext(ctx, q, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantSt, err := c.fresh.SearchContext(ctx, q, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotSt != wantSt {
+				t.Fatalf("%s query %d (budget %d, fanout %d): Stats %+v, fresh %+v", c.name, qi, budget, fanout, gotSt, wantSt)
+			}
+			if len(got.Neighbors) != len(want.Neighbors) {
+				t.Fatalf("%s query %d: %d neighbours, fresh %d", c.name, qi, len(got.Neighbors), len(want.Neighbors))
+			}
+			for i := range want.Neighbors {
+				if got.Neighbors[i] != want.Neighbors[i] {
+					t.Fatalf("%s query %d rank %d: %+v, fresh %+v", c.name, qi, i, got.Neighbors[i], want.Neighbors[i])
+				}
+			}
 		}
 	}
 }

@@ -2,7 +2,9 @@ package diskindex
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"e2lshos/internal/blockstore"
 	"e2lshos/internal/faultinject"
@@ -120,6 +122,80 @@ func TestHealthySearchAfterManyReads(t *testing.T) {
 		}
 		if st.Partial != 0 || st.FaultedReads != 0 || st.SkippedChains != 0 {
 			t.Fatalf("healthy run reported degradation: %+v", st)
+		}
+	}
+}
+
+// inflightBackend wraps a backend, holding every read for a short delay so
+// concurrent reads overlap, and records the most reads ever in flight.
+type inflightBackend struct {
+	blockstore.Backend
+	delay    time.Duration
+	inflight atomic.Int64
+	peak     atomic.Int64
+}
+
+func (b *inflightBackend) ReadBlock(a blockstore.Addr, buf []byte) error {
+	n := b.inflight.Add(1)
+	for {
+		p := b.peak.Load()
+		if n <= p || b.peak.CompareAndSwap(p, n) {
+			break
+		}
+	}
+	time.Sleep(b.delay)
+	err := b.Backend.ReadBlock(a, buf)
+	b.inflight.Add(-1)
+	return err
+}
+
+func (b *inflightBackend) ReadBlocks(addrs []blockstore.Addr, bufs [][]byte) (int, error) {
+	return blockstore.ReadBlocksSerial(b, addrs, bufs)
+}
+
+// TestParallelSearcherFanoutBound: a round walks at most fanout chains at
+// once — with one walker on the calling goroutine and fanout−1 helpers —
+// and with fanout > 1 the reads really overlap. Both a searcher built with
+// the fan-out and a reused one switched to it with SetFanout are checked.
+func TestParallelSearcherFanoutBound(t *testing.T) {
+	d, ix, _ := testSetup(t, 2000, 8, DefaultOptions())
+	backend := &inflightBackend{Backend: blockstore.NewMemBackend(), delay: 200 * time.Microsecond}
+	buf := make([]byte, blockstore.BlockSize)
+	for a := blockstore.Addr(1); a < blockstore.Addr(ix.Store().NumBlocks()); a++ {
+		if err := ix.Store().ReadBlock(a, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := backend.WriteBlock(a, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slow := *ix
+	slow.store = blockstore.NewWithBackend(backend)
+	reused, err := slow.NewParallelSearcher(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, fanout := range []int{1, 2, 4} {
+		fresh, err := slow.NewParallelSearcher(fanout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused.SetFanout(fanout)
+		for _, ps := range []*ParallelSearcher{fresh, reused} {
+			backend.peak.Store(0)
+			for _, q := range d.Queries[:6] {
+				if _, _, err := ps.SearchContext(ctx, q, 5); err != nil {
+					t.Fatal(err)
+				}
+			}
+			peak := backend.peak.Load()
+			if peak > int64(fanout) {
+				t.Errorf("fanout %d: %d reads in flight at once", fanout, peak)
+			}
+			if fanout > 1 && peak < 2 {
+				t.Errorf("fanout %d: reads never overlapped", fanout)
+			}
 		}
 	}
 }

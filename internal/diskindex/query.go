@@ -120,6 +120,9 @@ type Searcher struct {
 	floors     []int64
 	fracs      []float64
 	pfloors    []int64
+	// budget, when positive, replaces the index's per-radius candidate
+	// budget S for this searcher's queries (SetBudget).
+	budget int
 	// Readahead scratch (cache.go): next-round hashes, a projection buffer
 	// for per-radius families, and the in-flight prefetch handle.
 	nextHashes []uint32
@@ -144,6 +147,19 @@ func (s *Searcher) SetTrace(tr *telemetry.Trace) { s.trace = tr }
 // SetController installs the autotune controller the next query consults
 // per radius round (nil disables control).
 func (s *Searcher) SetController(c *autotune.Ctl) { s.ctl = c }
+
+// Trace returns the span buffer installed for the next query (nil if none).
+func (s *Searcher) Trace() *telemetry.Trace { return s.trace }
+
+// Controller returns the autotune controller installed for the next query
+// (nil if none).
+func (s *Searcher) Controller() *autotune.Ctl { return s.ctl }
+
+// SetBudget replaces the per-radius candidate budget S for this searcher's
+// later queries, exactly as querying a WithBudget view would; b ≤ 0 restores
+// the index's own budget. A long-lived searcher takes each call's budget
+// this way instead of being rebuilt over a view.
+func (s *Searcher) SetBudget(b int) { s.budget = b }
 
 // NewSearcher returns a fresh synchronous searcher. Safe to call while
 // updates run: sizing the dedup arena reads the dataset length under the
@@ -249,6 +265,7 @@ func (s *Searcher) searchContext(ctx context.Context, q []float32, k int) (Stats
 		s.topk.Reset(k)
 	}
 	topk := s.topk
+	baseS := budgetOr(s.budget, p.S)
 	if ix.opts.ShareProjections {
 		ix.families[0].ProjectInto(s.proj, q)
 	}
@@ -263,9 +280,9 @@ func (s *Searcher) searchContext(ctx context.Context, q []float32, k int) (Stats
 			st.Prefetched += int(s.pending.Wait())
 			s.pending = nil
 		}
-		mp, budgetS, readahead := s.multiProbe, p.S, true
+		mp, budgetS, readahead := s.multiProbe, baseS, true
 		if c := s.ctl; c != nil {
-			kn, proceed := c.BeforeRound(rIdx, p.S)
+			kn, proceed := c.BeforeRound(rIdx, baseS)
 			if !proceed {
 				break
 			}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"e2lshos/internal/ann"
 	"e2lshos/internal/autotune"
@@ -18,27 +18,41 @@ import (
 
 // ParallelSearcher answers queries with real (wall-clock) concurrency: the
 // production counterpart of the simulated asynchronous engine. Per search
-// radius it fans the hash-table lookups and bucket-chain walks of all
-// occupied buckets out to a goroutine pool — the paper's "many parallel read
-// requests" realized with blocking reads on concurrent goroutines — then
-// verifies candidates deterministically in table order.
+// radius it walks the hash-table entries and bucket chains of all occupied
+// buckets with up to fanout concurrent walkers — the paper's "many parallel
+// read requests" realized with blocking reads — then verifies candidates
+// deterministically in table order. The calling goroutine is one of the
+// walkers; the others are helper goroutines started for one round's fetch
+// phase, all claiming probes through one atomic claim word (see fetchAll).
 //
 // A ParallelSearcher is safe for use by one goroutine at a time; run several
 // searchers concurrently to batch queries, matching §6's multithreaded setup.
+// It is meant to be long-lived: fan-out and budget are per-call settings
+// (SetFanout, SetBudget), so one warmed searcher serves any knob mix.
 type ParallelSearcher struct {
-	ix      *Index
-	workers int
-	proj    []float64
-	hashes  []uint32
-	seen    []uint32
-	epoch   uint32
-	topk    *ann.TopK
-	// probeBuf and workerBufs are the per-round arenas: probe structs (and
-	// their ids backing) and the fetch goroutines' block buffers are reused
+	ix     *Index
+	fanout int
+	budget int // per-radius budget override; ≤ 0 keeps the index's S
+	proj   []float64
+	hashes []uint32
+	seen   []uint32
+	epoch  uint32
+	topk   *ann.TopK
+	// probeBuf and walkerBufs are the per-round arenas: probe structs (and
+	// their ids backing) and one block buffer per chain walker are reused
 	// across a searcher's queries instead of reallocated per radius round.
+	// walkerBufs grows on demand to the widest fan-out used, which a round
+	// caps at L (one walker per probe at most).
 	probeBuf   []probe
 	probePtrs  []*probe
-	workerBufs [][]byte
+	walkerBufs [][]byte
+	// claim packs fetchAll's round number (high 32 bits) with the index of
+	// the round's next unclaimed probe (low 32 bits); walked counts the
+	// round's finished probes; lastDone carries the wake-up from a helper
+	// that finishes the round's last probe to the waiting caller.
+	claim    atomic.Uint64
+	walked   atomic.Int64
+	lastDone chan struct{}
 	// Vectored-fetch arenas (I/O engine path): one logical-block buffer per
 	// probe plus the flattened addr/buf slices of the current wave.
 	vecBufs  [][]byte
@@ -52,8 +66,8 @@ type ParallelSearcher struct {
 	raProj     []float64
 	pending    *blockcache.Handle
 	// trace is the active sampled-query span buffer (nil for unsampled
-	// queries). Only the owning goroutine touches it; the fetch pool's
-	// goroutines never see it.
+	// queries). Only the owning goroutine touches it; the fetch helpers
+	// never see it.
 	trace *telemetry.Trace
 	// ctl is the active autotune controller (nil for uncontrolled queries).
 	ctl *autotune.Ctl
@@ -67,30 +81,50 @@ func (ps *ParallelSearcher) SetTrace(tr *telemetry.Trace) { ps.trace = tr }
 // per radius round (nil disables control).
 func (ps *ParallelSearcher) SetController(c *autotune.Ctl) { ps.ctl = c }
 
+// Trace returns the span buffer installed for the next query (nil if none).
+func (ps *ParallelSearcher) Trace() *telemetry.Trace { return ps.trace }
+
+// Controller returns the autotune controller installed for the next query
+// (nil if none).
+func (ps *ParallelSearcher) Controller() *autotune.Ctl { return ps.ctl }
+
+// SetFanout sets the number of bucket chains later queries walk
+// concurrently (n ≥ 1). Block buffers for the extra walkers are allocated
+// on first use.
+func (ps *ParallelSearcher) SetFanout(n int) {
+	if n < 1 {
+		panic("diskindex: parallel searcher fan-out must be at least 1")
+	}
+	ps.fanout = n
+}
+
+// SetBudget replaces the per-radius candidate budget S for later queries,
+// exactly as querying a WithBudget view would; b ≤ 0 restores the index's
+// own budget.
+func (ps *ParallelSearcher) SetBudget(b int) { ps.budget = b }
+
 // NewParallelSearcher creates a searcher with the given fan-out (≥1). Safe
 // to call while updates run: the dedup arena is sized under the update lock
 // (search() regrows it if inserts land later anyway).
-func (ix *Index) NewParallelSearcher(workers int) (*ParallelSearcher, error) {
-	if workers < 1 {
-		return nil, fmt.Errorf("diskindex: parallel searcher needs at least 1 worker, got %d", workers)
+func (ix *Index) NewParallelSearcher(fanout int) (*ParallelSearcher, error) {
+	if fanout < 1 {
+		return nil, fmt.Errorf("diskindex: parallel searcher needs at least 1 worker, got %d", fanout)
 	}
 	u := ix.upd
 	u.mu.RLock()
 	n := len(ix.data)
 	u.mu.RUnlock()
 	ps := &ParallelSearcher{
-		ix:         ix,
-		workers:    workers,
-		proj:       make([]float64, ix.params.L*ix.params.M),
-		hashes:     make([]uint32, ix.params.L),
-		seen:       make([]uint32, n),
-		probeBuf:   make([]probe, ix.params.L),
-		probePtrs:  make([]*probe, 0, ix.params.L),
-		workerBufs: make([][]byte, workers),
+		ix:        ix,
+		fanout:    fanout,
+		proj:      make([]float64, ix.params.L*ix.params.M),
+		hashes:    make([]uint32, ix.params.L),
+		seen:      make([]uint32, n),
+		probeBuf:  make([]probe, ix.params.L),
+		probePtrs: make([]*probe, 0, ix.params.L),
+		lastDone:  make(chan struct{}, 1),
 	}
-	for w := range ps.workerBufs {
-		ps.workerBufs[w] = make([]byte, ix.bucketBufBytes())
-	}
+	ps.growWalkerBufs(min(fanout, ix.params.L))
 	if ix.ioeng != nil {
 		ps.ensureVecArenas()
 	}
@@ -101,6 +135,13 @@ func (ix *Index) NewParallelSearcher(workers int) (*ParallelSearcher, error) {
 		}
 	}
 	return ps, nil
+}
+
+// growWalkerBufs makes sure n chain walkers have a block buffer each.
+func (ps *ParallelSearcher) growWalkerBufs(n int) {
+	for len(ps.walkerBufs) < n {
+		ps.walkerBufs = append(ps.walkerBufs, make([]byte, ps.ix.bucketBufBytes()))
+	}
 }
 
 // ensureVecArenas allocates the vectored-fetch arenas once, whether the I/O
@@ -192,6 +233,7 @@ func (ps *ParallelSearcher) searchContext(ctx context.Context, q []float32, k in
 		ps.topk.Reset(k)
 	}
 	topk := ps.topk
+	baseS := budgetOr(ps.budget, p.S)
 	if ix.opts.ShareProjections {
 		ix.families[0].ProjectInto(ps.proj, q)
 	}
@@ -204,9 +246,9 @@ func (ps *ParallelSearcher) searchContext(ctx context.Context, q []float32, k in
 			st.Prefetched += int(ps.pending.Wait())
 			ps.pending = nil
 		}
-		budgetS, readahead, fanout := p.S, true, ps.workers
+		budgetS, readahead, fanout := baseS, true, ps.fanout
 		if c := ps.ctl; c != nil {
-			kn, proceed := c.BeforeRound(rIdx, p.S)
+			kn, proceed := c.BeforeRound(rIdx, baseS)
 			if !proceed {
 				break
 			}
@@ -247,8 +289,8 @@ func (ps *ParallelSearcher) searchContext(ctx context.Context, q []float32, k in
 			probes = append(probes, pr)
 		}
 		// Fetch phase: table entries + bucket chains. With an I/O engine the
-		// round goes out as vectored waves; otherwise the goroutine pool
-		// walks each probe's chain with blocking reads.
+		// round goes out as vectored waves; otherwise up to fanout walkers
+		// follow the probes' chains with blocking reads.
 		fetchStart := tr.Clock()
 		if ix.ioeng != nil {
 			if err := ps.fetchAllVec(rIdx, probes, &st); err != nil {
@@ -323,36 +365,59 @@ func (ps *ParallelSearcher) searchContext(ctx context.Context, q []float32, k in
 	return st, nil
 }
 
-// fetchAll walks every probe's table entry and bucket chain using the
-// goroutine pool, fanning out at most `fanout` goroutines (the controller
-// may degrade it below the configured worker count mid-query).
+// fetchAll walks every probe's table entry and bucket chain with at most
+// fanout concurrent walkers (the controller may degrade fanout below the
+// configured value mid-query). The calling goroutine is the first walker;
+// fanout−1 helper goroutines started for this round are the rest. Every
+// walker claims the next unwalked probe through the shared atomic claim
+// word, so no walker idles while probes remain and no channel hand-off sits
+// between a claim and its reads. Each probe's result lands in the probe
+// itself, so the claim order does not affect the answer.
+//
+// The round ends when its last probe is walked, not when every helper has
+// exited: the caller waits only for probes a helper is still walking, and a
+// helper that starts after the caller has claimed everything finds nothing
+// to claim and exits without touching the searcher's buffers. The round
+// number in the claim word keeps such a late helper from claiming a later
+// round's probes, so no goroutine outlives a round with work in hand.
 func (ps *ParallelSearcher) fetchAll(rIdx int, probes []*probe, fanout int) {
-	if len(probes) == 0 {
+	walkers := min(max(fanout, 1), len(probes))
+	if walkers == 0 {
 		return
 	}
-	workers := fanout
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(probes) {
-		workers = len(probes)
-	}
-	var wg sync.WaitGroup
-	next := make(chan *probe)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	ps.growWalkerBufs(walkers)
+	round := ps.claim.Load()>>32 + 1
+	ps.walked.Store(0)
+	ps.claim.Store(round << 32)
+	for w := 1; w < walkers; w++ {
 		go func(buf []byte) {
-			defer wg.Done()
-			for pr := range next {
-				ps.fetchOne(rIdx, pr, buf)
+			if ps.walk(round, rIdx, probes, buf) {
+				ps.lastDone <- struct{}{}
 			}
-		}(ps.workerBufs[w])
+		}(ps.walkerBufs[w])
 	}
-	for _, pr := range probes {
-		next <- pr
+	if !ps.walk(round, rIdx, probes, ps.walkerBufs[0]) {
+		<-ps.lastDone
 	}
-	close(next)
-	wg.Wait()
+}
+
+// walk is one fetchAll walker of the given round: it claims and walks probes
+// until none of the round's remain, reporting whether it finished the
+// round's last probe.
+func (ps *ParallelSearcher) walk(round uint64, rIdx int, probes []*probe, buf []byte) (last bool) {
+	n := uint64(len(probes))
+	for {
+		c := ps.claim.Load()
+		i := c & (1<<32 - 1)
+		if c>>32 != round || i >= n {
+			return last
+		}
+		if !ps.claim.CompareAndSwap(c, c+1) {
+			continue
+		}
+		ps.fetchOne(rIdx, probes[i], buf)
+		last = ps.walked.Add(1) == int64(n)
+	}
 }
 
 // fetchAllVec is the I/O engine fetch phase: instead of per-probe pointer
@@ -366,7 +431,7 @@ func (ps *ParallelSearcher) fetchAll(rIdx int, probes []*probe, fanout int) {
 //
 // Demand waves read under a background context on purpose: cancellation
 // stays at the searcher's documented radius-round granularity, exactly as on
-// the pool path (which never aborts a round midway either).
+// the chain-walker path (which never aborts a round midway either).
 //
 //lsh:hotpath
 func (ps *ParallelSearcher) fetchAllVec(rIdx int, probes []*probe, st *Stats) error {

@@ -301,6 +301,9 @@ type Searcher struct {
 	floors     []int64
 	fracs      []float64
 	pfloors    []int64
+	// budget, when positive, replaces the index's per-radius candidate
+	// budget S for this searcher's queries (SetBudget).
+	budget int
 	// trace is the active sampled-query span buffer (nil for unsampled
 	// queries; all its methods are nil-safe no-ops then).
 	trace *telemetry.Trace
@@ -315,6 +318,19 @@ func (s *Searcher) SetTrace(tr *telemetry.Trace) { s.trace = tr }
 // SetController installs the autotune controller the next query consults
 // per radius round (nil disables control).
 func (s *Searcher) SetController(c *autotune.Ctl) { s.ctl = c }
+
+// Trace returns the span buffer installed for the next query (nil if none).
+func (s *Searcher) Trace() *telemetry.Trace { return s.trace }
+
+// Controller returns the autotune controller installed for the next query
+// (nil if none).
+func (s *Searcher) Controller() *autotune.Ctl { return s.ctl }
+
+// SetBudget replaces the per-radius candidate budget S for this searcher's
+// later queries, exactly as querying a WithBudget view would; b ≤ 0 restores
+// the index's own budget. A long-lived searcher takes each call's budget
+// this way instead of being rebuilt over a view.
+func (s *Searcher) SetBudget(b int) { s.budget = b }
 
 // NewSearcher returns a fresh searcher over the index.
 func (ix *Index) NewSearcher() *Searcher {
@@ -391,6 +407,10 @@ func (s *Searcher) search(ctx context.Context, q []float32, k int) (QueryStats, 
 		s.topk.Reset(k)
 	}
 	topk := s.topk
+	baseS := p.S
+	if s.budget > 0 {
+		baseS = s.budget
+	}
 	if s.ix.opts.ShareProjections {
 		s.ix.families[0].ProjectInto(s.proj, q)
 	}
@@ -399,9 +419,9 @@ func (s *Searcher) search(ctx context.Context, q []float32, k int) (QueryStats, 
 		if err := ctx.Err(); err != nil {
 			return st, err
 		}
-		mp, budgetS := s.multiProbe, p.S
+		mp, budgetS := s.multiProbe, baseS
 		if c := s.ctl; c != nil {
-			kn, proceed := c.BeforeRound(rIdx, p.S)
+			kn, proceed := c.BeforeRound(rIdx, baseS)
 			if !proceed {
 				break
 			}

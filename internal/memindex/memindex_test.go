@@ -210,6 +210,34 @@ func TestCandidateBudgetRespected(t *testing.T) {
 	}
 }
 
+// TestSetBudgetMatchesView: a reused searcher whose budget changes between
+// queries answers exactly as a fresh searcher over the WithBudget view.
+func TestSetBudgetMatchesView(t *testing.T) {
+	d, ix := testSetup(t, 1500, true)
+	s := ix.NewSearcher()
+	for qi, q := range d.Queries {
+		budget := []int{0, 3, 25, 0, 200}[qi%5]
+		view := ix
+		if budget > 0 {
+			view = ix.WithBudget(budget)
+		}
+		s.SetBudget(budget)
+		got, gotSt := s.Search(q, 3)
+		want, wantSt := view.NewSearcher().Search(q, 3)
+		if gotSt != wantSt {
+			t.Fatalf("query %d (budget %d): stats %+v, view %+v", qi, budget, gotSt, wantSt)
+		}
+		if len(got.Neighbors) != len(want.Neighbors) {
+			t.Fatalf("query %d: %d neighbours, view %d", qi, len(got.Neighbors), len(want.Neighbors))
+		}
+		for i := range want.Neighbors {
+			if got.Neighbors[i] != want.Neighbors[i] {
+				t.Fatalf("query %d rank %d: %+v, view %+v", qi, i, got.Neighbors[i], want.Neighbors[i])
+			}
+		}
+	}
+}
+
 func TestLargerSigmaChecksMore(t *testing.T) {
 	d, _ := testSetup(t, 1500, true)
 	ixSmall := buildFor(t, d, true, 1.0)

@@ -204,6 +204,9 @@ func Build(data [][]float32, cfg Config, rmin, rmax float64) (*Index, error) {
 // Params returns the derived parameters.
 func (ix *Index) Params() Params { return ix.params }
 
+// Dim returns the dimensionality of the indexed vectors.
+func (ix *Index) Dim() int { return ix.dim }
+
 // Config returns the build configuration.
 func (ix *Index) Config() Config { return ix.cfg }
 
@@ -254,6 +257,10 @@ type Searcher struct {
 // decisions and the verification-budget knob; the probing knobs
 // (multi-probe, fan-out, readahead) have no meaning here.
 func (s *Searcher) SetController(c *autotune.Ctl) { s.ctl = c }
+
+// Controller returns the autotune controller installed for the next query
+// (nil if none).
+func (s *Searcher) Controller() *autotune.Ctl { return s.ctl }
 
 // NewSearcher returns a fresh searcher over the index.
 func (ix *Index) NewSearcher() *Searcher {

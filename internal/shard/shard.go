@@ -246,9 +246,9 @@ func (r *Router[S]) Search(ctx context.Context, q []float32, k int, search Searc
 }
 
 // BatchSearch scatters the whole batch to every shard's batch entry point —
-// so each shard's worker pool and per-goroutine searcher reuse stay in play
-// — and merges per query. Results are positionally aligned with queries;
-// slots no shard answered are zero Results.
+// so each shard's own workers and warmed searchers stay in play — and merges
+// per query. Results are positionally aligned with queries; slots no shard
+// answered are zero Results.
 func (r *Router[S]) BatchSearch(ctx context.Context, queries [][]float32, k int, batch BatchFunc[S]) ([]ann.Result, []S, error) {
 	if len(queries) == 0 {
 		outs := make([]S, len(r.globals))
@@ -260,8 +260,10 @@ func (r *Router[S]) BatchSearch(ctx context.Context, queries [][]float32, k int,
 	return r.gather(outs, len(queries), k)
 }
 
-// scatter runs fn once per shard on its own goroutine under a shared
-// cancelable context and waits for all of them.
+// scatter runs fn once per shard under a shared cancelable context and waits
+// for all of them. Shards 1..n−1 run on goroutines of their own; the calling
+// goroutine runs shard 0 once those are started, so a scatter over n shards
+// starts n−1 goroutines and a single-shard router starts none.
 func (r *Router[S]) scatter(ctx context.Context, fn func(ctx context.Context, shard int) ([]ann.Result, S, error)) []shardOut[S] {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -270,21 +272,25 @@ func (r *Router[S]) scatter(ctx context.Context, fn func(ctx context.Context, sh
 	if r.observe != nil {
 		start = time.Now()
 	}
+	run := func(i int) {
+		out := r.runShard(sctx, i, fn)
+		if r.observe != nil {
+			r.observe(i, time.Since(start))
+		}
+		outs[i] = out
+		if out.err != nil {
+			cancel() // fail fast: stop the sibling shards
+		}
+	}
 	var wg sync.WaitGroup
-	for i := range r.globals {
-		wg.Add(1)
+	wg.Add(len(r.globals) - 1)
+	for i := 1; i < len(r.globals); i++ {
 		go func(i int) {
 			defer wg.Done()
-			out := r.runShard(sctx, i, fn)
-			if r.observe != nil {
-				r.observe(i, time.Since(start))
-			}
-			outs[i] = out
-			if out.err != nil {
-				cancel() // fail fast: stop the sibling shards
-			}
+			run(i)
 		}(i)
 	}
+	run(0)
 	wg.Wait()
 	return outs
 }

@@ -126,6 +126,9 @@ func (ix *Index) project(v []float32, scratch []float64, out []float32) {
 // Config returns the build configuration.
 func (ix *Index) Config() Config { return ix.cfg }
 
+// Dim returns the dimensionality of the indexed vectors.
+func (ix *Index) Dim() int { return ix.dim }
+
 // IndexBytes estimates the DRAM footprint of the SRS index: the projected
 // table plus R-tree nodes. This is the paper's "Index mem" column for SRS
 // (Table 6).

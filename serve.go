@@ -91,9 +91,8 @@ type searchOutcome struct {
 // Server is the serving front-end: an Engine behind a keyed query coalescer
 // with JSON endpoints /v1/search (per-request tuning), /search (legacy
 // shim), /stats and /healthz. Concurrent single-query requests with
-// compatible tuning are grouped into one BatchSearch per tick, so
-// request-at-a-time traffic exercises the batch pool's per-goroutine
-// searcher reuse.
+// compatible tuning are grouped into one BatchSearch per tick, which runs
+// on the engine's pooled, warmed searchers.
 type Server struct {
 	eng      Engine
 	cfg      ServerConfig

@@ -142,6 +142,7 @@ type ShardedIndex struct {
 	tune
 	router  *shard.Router[Stats]
 	engines []Engine
+	dim     int
 }
 
 var _ Engine = (*ShardedIndex)(nil)
@@ -171,7 +172,7 @@ func NewShardedIndex(data [][]float32, shards int, placement ShardPlacement, bui
 		}
 		engines[i] = eng
 	}
-	return &ShardedIndex{router: router, engines: engines}, nil
+	return &ShardedIndex{router: router, engines: engines, dim: len(data[0])}, nil
 }
 
 // EnableTelemetry turns on telemetry for the whole sharded tree: the router
@@ -366,6 +367,9 @@ func (x *ShardedIndex) Search(ctx context.Context, q []float32, opts ...SearchOp
 	if err != nil {
 		return Result{}, Stats{}, err
 	}
+	if err := checkDim(x.dim, q); err != nil {
+		return Result{}, Stats{}, err
+	}
 	col := x.collector()
 	shardOpts := shardTuningOpts(opts, set, nil)
 	var t0 time.Time
@@ -386,12 +390,16 @@ func (x *ShardedIndex) Search(ctx context.Context, q []float32, opts ...SearchOp
 	return res, st, err
 }
 
-// BatchSearch scatters the whole batch to every shard's BatchSearch — so
-// each shard runs its own worker pool with per-goroutine searcher reuse —
-// and merges per query; see Engine.
+// BatchSearch scatters the whole batch to every shard's BatchSearch — the
+// calling goroutine runs one shard's share, and each shard answers its part
+// on its own workers and pooled searchers — and merges per query; see
+// Engine.
 func (x *ShardedIndex) BatchSearch(ctx context.Context, queries [][]float32, opts ...SearchOption) ([]Result, Stats, error) {
 	set, err := resolveSettings(opts)
 	if err != nil {
+		return nil, Stats{}, err
+	}
+	if err := checkDims(x.dim, queries); err != nil {
 		return nil, Stats{}, err
 	}
 	col := x.collector()

@@ -17,6 +17,7 @@ import (
 type StorageIndex struct {
 	telem
 	tune
+	querierPool
 	ix *diskindex.Index
 }
 
@@ -265,10 +266,10 @@ func (s *StorageIndex) IODepth() int {
 	return eng.Depth()
 }
 
-// Search answers a top-k query with a concurrent fan-out of the WithFanout
-// width (default DefaultFanout) — the paper's "many parallel read requests"
-// realized with blocking reads on concurrent goroutines. It honors WithK,
-// WithFanout, WithBudget and WithMultiProbe.
+// Search answers a top-k query walking up to WithFanout bucket chains
+// concurrently (default DefaultFanout) — the paper's "many parallel read
+// requests" realized with blocking reads, the calling goroutine walking one
+// share itself. It honors WithK, WithFanout, WithBudget and WithMultiProbe.
 func (s *StorageIndex) Search(ctx context.Context, q []float32, opts ...SearchOption) (Result, Stats, error) {
 	return engineSearch(ctx, s, q, opts)
 }
@@ -298,48 +299,55 @@ func (s *StorageIndex) Insert(v []float32) (uint32, error) { return s.ix.Insert(
 // WithWAL the delete is durable before it returns.
 func (s *StorageIndex) Delete(id uint32) (bool, error) { return s.ix.Delete(id) }
 
-func (s *StorageIndex) newQuerier(set searchSettings) (querier, error) {
-	ix := s.ix
-	if set.budget > 0 {
-		ix = ix.WithBudget(set.budget)
-	}
-	// Multi-probe exists only on the sequential prober; fan-out only on the
-	// parallel one. Multi-probe wins when both are requested.
-	if set.multiProbe > 0 {
-		sr := ix.NewSearcher()
-		sr.SetMultiProbe(set.multiProbe)
-		return diskSyncQuerier{s: sr}, nil
-	}
-	ps, err := ix.NewParallelSearcher(set.fanout)
+func (s *StorageIndex) dim() int { return s.ix.Params().Dim }
+
+func (s *StorageIndex) newQuerier() (querier, error) {
+	par, err := s.ix.NewParallelSearcher(DefaultFanout)
 	if err != nil {
 		return nil, err
 	}
-	return diskParQuerier{ps: ps}, nil
+	return &diskQuerier{ix: s.ix, par: par, cur: par}, nil
 }
 
-type diskParQuerier struct {
-	ps *diskindex.ParallelSearcher
+// diskSearcher is what diskQuerier uses of the two disk probers.
+type diskSearcher interface {
+	SearchInto(ctx context.Context, q []float32, k int, dst []ann.Neighbor) (ann.Result, diskindex.Stats, error)
+	SetBudget(b int)
+	SetTrace(tr *telemetry.Trace)
+	SetController(c *autotune.Ctl)
 }
 
-func (d diskParQuerier) setTrace(tr *telemetry.Trace) { d.ps.SetTrace(tr) }
-
-func (d diskParQuerier) setController(c *autotune.Ctl) { d.ps.SetController(c) }
-
-func (d diskParQuerier) query(ctx context.Context, q []float32, k int, dst []ann.Neighbor) (Result, Stats, error) {
-	res, st, err := d.ps.SearchInto(ctx, q, k, dst)
-	return res, diskStats(st), err
+// diskQuerier is StorageIndex's querier. Fan-out exists only on the parallel
+// prober and multi-probe only on the sequential one, so it holds both — the
+// sequential one built on first use — and configure picks one per call;
+// multi-probe wins when both are requested.
+type diskQuerier struct {
+	ix  *diskindex.Index
+	par *diskindex.ParallelSearcher
+	seq *diskindex.Searcher
+	cur diskSearcher
 }
 
-type diskSyncQuerier struct {
-	s *diskindex.Searcher
+func (d *diskQuerier) configure(set searchSettings) {
+	if set.multiProbe > 0 {
+		if d.seq == nil {
+			d.seq = d.ix.NewSearcher()
+		}
+		d.seq.SetMultiProbe(set.multiProbe)
+		d.cur = d.seq
+	} else {
+		d.par.SetFanout(set.fanout)
+		d.cur = d.par
+	}
+	d.cur.SetBudget(set.budget)
 }
 
-func (d diskSyncQuerier) setTrace(tr *telemetry.Trace) { d.s.SetTrace(tr) }
+func (d *diskQuerier) setTrace(tr *telemetry.Trace) { d.cur.SetTrace(tr) }
 
-func (d diskSyncQuerier) setController(c *autotune.Ctl) { d.s.SetController(c) }
+func (d *diskQuerier) setController(c *autotune.Ctl) { d.cur.SetController(c) }
 
-func (d diskSyncQuerier) query(ctx context.Context, q []float32, k int, dst []ann.Neighbor) (Result, Stats, error) {
-	res, st, err := d.s.SearchInto(ctx, q, k, dst)
+func (d *diskQuerier) query(ctx context.Context, q []float32, k int, dst []ann.Neighbor) (Result, Stats, error) {
+	res, st, err := d.cur.SearchInto(ctx, q, k, dst)
 	return res, diskStats(st), err
 }
 
